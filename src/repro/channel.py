@@ -2,7 +2,10 @@
 
 Bundles the full client-side stack — bSOAP differential serialization,
 HTTP framing, a reconnecting TCP connection, response parsing, and
-SOAP Fault propagation — behind one ``call()``.  This is the
+SOAP Fault propagation — behind one ``call()``.  A reply is checked for
+a Fault by probing its first Body entry only, then decoded by a
+skip-scan differential deserializer, which is the single place a 200
+body is proven well formed.  This is the
 convenience layer a generated stub or an application uses against a
 real :class:`~repro.server.service.HTTPSoapServer`.
 
@@ -131,8 +134,12 @@ class RPCChannel:
         # Responses are differentially deserialized: a service reusing
         # its response template sends same-skeleton bodies, so the
         # channel re-parses only the result values that changed — the
-        # client-side mirror of the server's request handling.
-        self.deserializer = DifferentialDeserializer(registry)
+        # client-side mirror of the server's request handling.  The
+        # skip-scan lane is what proves a 200 body well formed (the
+        # fault probe reads only the envelope prefix): it re-validates
+        # each changed closing tag, pad and value, and answers any
+        # doubt with the full parse.
+        self.deserializer = DifferentialDeserializer(registry, skipscan=True)
         self.parser = self.deserializer.parser
         self.calls = 0
         self.faults = 0

@@ -66,6 +66,7 @@ from repro.schema.types import INT
 from repro.server.service import HTTPSoapServer, Operation, SOAPService
 from repro.soap.fault import SOAPFault
 from repro.wire.frame import HEADER, encode_frame
+from repro.xmlkit.scanner import parse_document
 
 __all__ = [
     "WireFuzzer",
@@ -775,8 +776,12 @@ def _classify_response(response: object) -> str:
     """``ok``/``fault`` for a parseable envelope; raises otherwise."""
     if not isinstance(response, (bytes, bytearray)) or not response:
         raise ValueError(f"non-bytes response: {type(response).__name__}")
-    fault = SOAPFault.from_xml(bytes(response))
-    return "fault" if fault is not None else "ok"
+    if SOAPFault.from_xml(bytes(response)) is not None:
+        return "fault"
+    # The fault probe stops at the first Body entry; an ``ok`` answer
+    # must still be a well-formed document end to end.
+    parse_document(bytes(response))
+    return "ok"
 
 
 def _response_values(response: bytes) -> list:

@@ -595,6 +595,12 @@ class HTTPSoapServer:
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._conn_threads: List[threading.Thread] = []
+        #: Connections counted in by the accept loop before their
+        #: handler thread starts and counted out as ``_serve`` ends, so
+        #: a connection is in the census before it can serve a request
+        #: (its own ``/metrics`` scrape included).
+        self._open = 0
+        self._open_lock = threading.Lock()
         self._conn_ids = itertools.count(1)
         self._running = threading.Event()
         self.accept_errors = 0
@@ -621,11 +627,13 @@ class HTTPSoapServer:
     # ------------------------------------------------------------------
     def open_connections(self) -> int:
         """Live connections currently being served."""
-        return sum(1 for t in self._conn_threads if t.is_alive())
+        return self._open
 
-    def _set_open_gauge(self) -> None:
-        if self._open_conns_gauge is not None:
-            self._open_conns_gauge.set(self.open_connections())
+    def _count_connection(self, delta: int) -> None:
+        with self._open_lock:
+            self._open += delta
+            if self._open_conns_gauge is not None:
+                self._open_conns_gauge.set(self._open)
 
     def frontend_census(self) -> Dict[str, int]:
         """Front-end counters folded into ``merged_counters``."""
@@ -686,13 +694,12 @@ class HTTPSoapServer:
                 break
             # Reap finished connection threads so a long-lived server
             # handling many short connections doesn't accumulate dead
-            # Thread objects without bound — and so the live count
-            # below reflects reality.
+            # Thread objects without bound.
             self._conn_threads = [
                 t for t in self._conn_threads if t.is_alive()
             ]
             limit = self.service.limits.max_concurrent_connections
-            if len(self._conn_threads) >= limit:
+            if self._open >= limit:
                 self._reject(conn, 503, retry_after=self._retry_after_hint())
                 try:
                     conn.close()
@@ -703,9 +710,9 @@ class HTTPSoapServer:
             thread = threading.Thread(
                 target=self._serve, args=(conn, session_id), daemon=True
             )
-            thread.start()
+            self._count_connection(+1)
             self._conn_threads.append(thread)
-            self._set_open_gauge()
+            thread.start()
 
     def _retry_after_hint(self) -> int:
         """Retry-After seconds for front-end 503 rejections.
@@ -799,7 +806,7 @@ class HTTPSoapServer:
             # Free the connection's session state eagerly; a returning
             # client dials a new connection and pays one full parse.
             self.service.sessions.close_session(session_id)
-            self._set_open_gauge()
+            self._count_connection(-1)
 
     def _drain_requests(
         self,

@@ -8,6 +8,10 @@ decode the same message, field for field.  4 levels x 50 calls = the
 sequences from ``test_oracle_wire`` (``--rng-seed`` reseeds the whole
 corpus).
 
+The response-side lockstep drives the same contract through a live
+server's responder and the client :class:`RPCChannel`, whose response
+deserializer runs skip-scan.
+
 The mid-session skeleton-drift drill injects corrupted wires into a
 hot session — at the deserializer and again through a live
 :class:`SOAPService` — and proves the fallback full parse answers
@@ -20,12 +24,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bench.workloads import doubles_of_width
+from repro.channel import RPCChannel
 from repro.core.client import BSoapClient
 from repro.errors import XMLError
-from repro.schema import INT, MIO_TYPE, TypeRegistry
+from repro.schema import DOUBLE, INT, MIO_TYPE, ArrayType, TypeRegistry
 from repro.server.diffdeser import DeserKind, DifferentialDeserializer
 from repro.server.parser import SOAPRequestParser
-from repro.server.service import SOAPService
+from repro.server.service import HTTPSoapServer, SOAPService
+from repro.soap.message import Parameter, SOAPMessage
 from repro.transport.loopback import CollectSink
 from tests.test_oracle_wire import (
     CALLS_PER_LEVEL,
@@ -148,3 +155,80 @@ def test_mid_session_drift_through_live_service(rng_seed):
     assert stats.get("skeleton-drift", 0) >= 1
     assert stats.get("hit", 0) + stats.get("hit-vector", 0) >= 5
     assert len(seen) == len(messages)
+
+
+# ----------------------------------------------------------------------
+# response side: a live server's responder -> the client RPCChannel
+# ----------------------------------------------------------------------
+RESPONSE_CALLS = 200
+EXPAND_SIZE = 16
+EXPAND_TILE = 8
+#: Share of the array's positions re-drawn per call (same width).
+DIRTY_FRACTIONS = (0.0, 1 / EXPAND_SIZE, 0.25, 0.5, 1.0)
+WIDTHS = (3, 8, 12, 17)
+
+
+def test_response_skipscan_lockstep_oracle(rng_seed):
+    """200 ``expand`` replies through ``RPCChannel``: every decoded
+    reply equals a fresh full parse of the same body bytes, a length
+    change falls back to a full parse, and every same-length change
+    rides the client's skip-scan lane."""
+    rng = np.random.default_rng(rng_seed + 97)
+    service = SOAPService("urn:oracle", TypeRegistry())
+
+    @service.operation("expand", result_type=ArrayType(DOUBLE))
+    def expand(a):
+        return np.tile(np.asarray(a, dtype=np.float64), EXPAND_TILE)
+
+    def draw(n, width):
+        return doubles_of_width(n, width, seed=int(rng.integers(1 << 31)))
+
+    width = int(rng.choice(WIDTHS))
+    values = draw(EXPAND_SIZE, width)
+    kinds = {kind: 0 for kind in DeserKind}
+    previous = None
+    with HTTPSoapServer(service) as server:
+        with RPCChannel("127.0.0.1", server.port) as channel:
+            for call in range(RESPONSE_CALLS):
+                if call and call % 25 == 0:
+                    # Every value changes width: the reply length drifts.
+                    width = int(rng.choice([w for w in WIDTHS if w != width]))
+                    values = draw(EXPAND_SIZE, width)
+                else:
+                    fraction = DIRTY_FRACTIONS[call % len(DIRTY_FRACTIONS)]
+                    dirty = rng.choice(
+                        EXPAND_SIZE,
+                        size=int(round(fraction * EXPAND_SIZE)),
+                        replace=False,
+                    )
+                    values = values.copy()
+                    values[dirty] = draw(dirty.size, width)
+                message = SOAPMessage(
+                    "expand",
+                    "urn:oracle",
+                    [Parameter("a", ArrayType(DOUBLE), values)],
+                )
+                response = channel.call(message)
+                body = channel.last_response_body
+                reference = SOAPRequestParser(TypeRegistry()).parse(body).message
+                assert response.operation == reference.operation
+                assert list(response.values) == [p.name for p in reference.params]
+                assert np.array_equal(response.result(), reference.params[0].value)
+                assert np.array_equal(
+                    response.result(), np.tile(values, EXPAND_TILE)
+                )
+                report = channel.last_deser_report
+                if previous is None or len(body) != len(previous):
+                    expected = DeserKind.FULL
+                elif body == previous:
+                    expected = DeserKind.CONTENT_MATCH
+                else:
+                    expected = DeserKind.DIFFERENTIAL
+                    assert report.skipscan, f"call {call}"
+                assert report.kind is expected, f"call {call}: {report.kind}"
+                kinds[report.kind] += 1
+                previous = body
+    stats = channel.deserializer.skipscan_stats
+    assert stats.get("length-drift", 0) == kinds[DeserKind.FULL] - 1
+    assert kinds[DeserKind.DIFFERENTIAL] > RESPONSE_CALLS // 2
+    assert kinds[DeserKind.CONTENT_MATCH] > 0

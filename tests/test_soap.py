@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.errors import SchemaError, SOAPError, SOAPFaultError
+from repro.channel import RPCChannel
+from repro.errors import SchemaError, SOAPError, SOAPFaultError, XMLSyntaxError
+from repro.resilience.retry import RetryPolicy
 from repro.schema.composite import ArrayType
 from repro.schema.mio import make_mio_array_type
+from repro.schema.registry import TypeRegistry
 from repro.schema.types import DOUBLE, INT, STRING
+from repro.server.service import HTTPSoapServer, SOAPService
 from repro.soap.constants import SOAP_ENC_URI, SOAP_ENV_URI
 from repro.soap.encoding import (
     array_open_attrs,
@@ -189,6 +193,102 @@ class TestFault:
 
     def test_fault_xml_wellformed(self):
         parse_document(SOAPFault.server("x & y <").to_xml())
+
+
+_ENV_OPEN = (
+    b'<?xml version="1.0"?><SOAP-ENV:Envelope xmlns:SOAP-ENV="%s">' % SOAP_ENV_URI.encode()
+)
+
+
+class TestFaultProbe:
+    """Only the first direct child of ``Envelope/Body`` is a Fault
+    (SOAP 1.1 §4.4, §7.1); the probe stops at its start tag."""
+
+    def test_response_field_named_fault_is_not_a_fault(self):
+        doc = (
+            _ENV_OPEN
+            + b"<SOAP-ENV:Body><ns:opResponse><Fault>1.5</Fault>"
+            + b"<rec><Fault>2</Fault></rec></ns:opResponse></SOAP-ENV:Body>"
+            + b"</SOAP-ENV:Envelope>"
+        )
+        assert SOAPFault.from_xml(doc) is None
+
+    def test_header_fault_block_is_ignored(self):
+        doc = (
+            _ENV_OPEN
+            + b"<SOAP-ENV:Header><Fault><faultcode>x</faultcode></Fault>"
+            + b"</SOAP-ENV:Header><SOAP-ENV:Body><ns:opResponse/>"
+            + b"</SOAP-ENV:Body></SOAP-ENV:Envelope>"
+        )
+        assert SOAPFault.from_xml(doc) is None
+
+    def test_header_then_body_fault_is_found(self):
+        doc = (
+            _ENV_OPEN
+            + b"<SOAP-ENV:Header><h>1</h></SOAP-ENV:Header><SOAP-ENV:Body>"
+            + b"<SOAP-ENV:Fault><faultcode>SOAP-ENV:Client</faultcode>"
+            + b"<faultstring>no</faultstring></SOAP-ENV:Fault>"
+            + b"</SOAP-ENV:Body></SOAP-ENV:Envelope>"
+        )
+        assert SOAPFault.from_xml(doc) == SOAPFault("SOAP-ENV:Client", "no")
+
+    def test_fault_after_first_body_entry_is_not_a_fault(self):
+        doc = (
+            _ENV_OPEN
+            + b"<SOAP-ENV:Body><ns:opResponse/><SOAP-ENV:Fault>"
+            + b"<faultcode>c</faultcode></SOAP-ENV:Fault></SOAP-ENV:Body>"
+            + b"</SOAP-ENV:Envelope>"
+        )
+        assert SOAPFault.from_xml(doc) is None
+
+    def test_empty_body_is_not_a_fault(self):
+        doc = _ENV_OPEN + b"<SOAP-ENV:Body/></SOAP-ENV:Envelope>"
+        assert SOAPFault.from_xml(doc) is None
+
+    def test_non_fault_tail_is_not_scanned(self):
+        # Proving the rest of a non-fault body well formed is the
+        # response deserializer's job, not the probe's.
+        layout = envelope_layout("urn:x", "op")
+        doc = layout.prefix + b"<a>1</b>"
+        assert SOAPFault.from_xml(doc) is None
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            lambda d: d[:-5],  # truncated closing tag
+            lambda d: d.replace(b"</SOAP-ENV:Body>", b"</SOAP-ENV:Bodz>"),
+            lambda d: d + b"<trailing/>",  # a second root element
+        ],
+    )
+    def test_fault_with_malformed_tail_raises(self, cut):
+        doc = cut(SOAPFault.server("boom", "detail").to_xml())
+        with pytest.raises(XMLSyntaxError):
+            SOAPFault.from_xml(doc)
+
+    def test_fault_missing_faultcode_raises(self):
+        doc = (
+            _ENV_OPEN
+            + b"<SOAP-ENV:Body><SOAP-ENV:Fault><faultstring>x</faultstring>"
+            + b"</SOAP-ENV:Fault></SOAP-ENV:Body></SOAP-ENV:Envelope>"
+        )
+        with pytest.raises(SOAPError, match="faultcode"):
+            SOAPFault.from_xml(doc)
+
+    def test_result_named_fault_decodes_through_channel(self):
+        svc = SOAPService("urn:calc", TypeRegistry())
+
+        @svc.operation("half", result_type=DOUBLE, result_name="Fault")
+        def half(x):
+            return x / 2
+
+        message = SOAPMessage("half", "urn:calc", [Parameter("x", DOUBLE, 3.0)])
+        with HTTPSoapServer(svc) as server:
+            with RPCChannel(
+                "127.0.0.1", server.port, retry=RetryPolicy(max_attempts=1)
+            ) as channel:
+                response = channel.call(message)
+                assert response.values == {"Fault": 1.5}
+                assert channel.faults == 0
 
 
 class TestRPC:

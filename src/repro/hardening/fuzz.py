@@ -251,6 +251,13 @@ class WireFuzzer:
             ("span_length_lie", self._span_length_lie),
             ("offset_desync", self._offset_desync),
             ("pad_crlf", self._pad_crlf),
+            ("item_name_swap", self._item_name_swap),
+            ("item_entity", self._item_entity),
+            ("item_markup", self._item_markup),
+            ("item_self_close", self._item_self_close),
+            ("item_end_space", self._item_end_space),
+            ("item_attribute", self._item_attribute),
+            ("item_non_ascii", self._item_non_ascii),
             ("entity_garbage", self._entity_garbage),
             ("utf8_garbage", self._utf8_garbage),
             ("nest_bomb", self._nest_bomb),
@@ -400,6 +407,73 @@ class WireFuzzer:
         for _ in range(rng.randint(1, len(pad))):
             pad[rng.randrange(len(pad))] = rng.choice(alphabet)
         return wire[: match.start(2)] + bytes(pad) + wire[match.end(2) :]
+
+    # -- item-run-aware (the first-time parse's bulk step) -------------
+    # Each breaks one ``<item>value</item>`` in a way the scanner's
+    # item-run step must refuse, leaving the item to the event path.
+    def _item_edit(
+        self, rng: random.Random, wire: bytes, edit: Callable[[bytes], bytes]
+    ) -> bytes:
+        """Replace one whole ``<item>value</item>`` by ``edit(value)``."""
+        items = list(_ITEM_VALUE.finditer(wire))
+        if not items:
+            return self._bit_flip(rng, wire)
+        match = rng.choice(items)
+        return wire[: match.start()] + edit(match.group(1)) + wire[match.end() :]
+
+    def _item_name_swap(self, rng: random.Random, wire: bytes) -> bytes:
+        name = rng.choice([b"itemx", b"other", b"ns:item"])
+        return self._item_edit(
+            rng, wire, lambda v: b"<" + name + b">" + v + b"</" + name + b">"
+        )
+
+    def _item_entity(self, rng: random.Random, wire: bytes) -> bytes:
+        """A character reference for one value byte (the same value once
+        expanded) or a stray ``&amp;``."""
+
+        def edit(value: bytes) -> bytes:
+            i = rng.randrange(len(value))
+            ref = rng.choice([b"&#%d;" % value[i], b"&#x%x;" % value[i], b"&amp;"])
+            tail = value[i + 1 :] if ref != b"&amp;" else value[i:]
+            return b"<item>" + value[:i] + ref + tail + b"</item>"
+
+        return self._item_edit(rng, wire, edit)
+
+    def _item_markup(self, rng: random.Random, wire: bytes) -> bytes:
+        """A comment, PI or CDATA section inside a run."""
+        forms = [
+            lambda v: b"<item>" + v + b"</item><!--c-->",
+            lambda v: b"<item>" + v + b"<!--c--></item>",
+            lambda v: b"<?pi x?><item>" + v + b"</item>",
+            lambda v: b"<item><![CDATA[" + v + b"]]></item>",
+        ]
+        return self._item_edit(rng, wire, rng.choice(forms))
+
+    def _item_self_close(self, rng: random.Random, wire: bytes) -> bytes:
+        return self._item_edit(rng, wire, lambda v: b"<item/>")
+
+    def _item_end_space(self, rng: random.Random, wire: bytes) -> bytes:
+        pad = rng.choice([b" ", b"\t", b"\r\n"])
+        return self._item_edit(
+            rng, wire, lambda v: b"<item>" + v + b"</item" + pad + b">"
+        )
+
+    def _item_attribute(self, rng: random.Random, wire: bytes) -> bytes:
+        attr = rng.choice([b' a="1"', b' xsi:type="xsd:double"', b" "])
+        return self._item_edit(
+            rng, wire, lambda v: b"<item" + attr + b">" + v + b"</item>"
+        )
+
+    def _item_non_ascii(self, rng: random.Random, wire: bytes) -> bytes:
+        junk = rng.choice(
+            ["é".encode("utf-8"), b"\xa0", b"\xff", "١".encode("utf-8")]
+        )
+
+        def edit(value: bytes) -> bytes:
+            i = rng.randrange(len(value) + 1)
+            return b"<item>" + value[:i] + junk + value[i:] + b"</item>"
+
+        return self._item_edit(rng, wire, edit)
 
     def _entity_garbage(self, rng: random.Random, wire: bytes) -> bytes:
         junk = rng.choice(

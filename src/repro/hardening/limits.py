@@ -51,7 +51,8 @@ class ResourceLimits:
     #: Longest accepted single token (tag name, attribute name/value).
     max_token_bytes: int = 1 << 16  # 64 KiB
     #: Seconds a connection may take to deliver one complete request
-    #: once its first byte arrived (slow-trickle guard → HTTP 408).
+    #: once its first byte arrived (slow-trickle guard → HTTP 408); an
+    #: idle connection past it is closed without a response.
     read_deadline: float = 30.0
     #: Requests served on one connection before it is closed (503).
     max_requests_per_connection: int = 100_000

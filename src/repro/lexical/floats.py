@@ -31,15 +31,23 @@ Batch converters accept ``cached=True`` to route repeated values
 through the conversion memo in :mod:`repro.lexical.cache` —
 byte-identical output, one dict probe instead of a fresh conversion
 on a hit.
+
+The parse direction has one bulk kernel, :func:`parse_double_rows`:
+a charset proof plus a single NumPy string→float64 cast over a matrix
+of values.  Both receivers use it — the first-time parse
+(:func:`parse_double_spans`, via the scanner's item-run step) and
+skip-scan's vectorized lane — so they agree with :func:`parse_double`
+bit for bit by the same argument.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import LexicalError
 from repro.lexical.cache import (
@@ -56,6 +64,8 @@ __all__ = [
     "format_double",
     "parse_double",
     "format_double_array",
+    "parse_double_rows",
+    "parse_double_spans",
 ]
 
 #: Maximum characters any finite double can need in either format
@@ -69,6 +79,23 @@ DOUBLE_MAX_WIDTH = 24
 DOUBLE_MIN_WIDTH = 1
 
 _ALLOWED = frozenset(b"+-.0123456789eE")
+
+#: Bytes :func:`parse_double_rows` accepts: exactly ``_ALLOWED`` plus
+#: the space pad (leading in the FIXED ``%24.16e`` form, trailing where
+#: a row is wider than its value).  Tabs/CR/LF are deliberately
+#: excluded — ``parse_double`` strips them but NumPy's string→float
+#: conversion is not guaranteed to agree, so those values take the
+#: scalar path.
+_BULK_LUT = np.zeros(256, dtype=bool)
+for _b in b"+-.0123456789eE ":
+    _BULK_LUT[_b] = True
+del _b
+
+#: Widest value :func:`parse_double_spans` converts in bulk.  Wider
+#: values (legal: whitespace inside a value is collapsed) go through
+#: :func:`parse_double` one by one, so an attacker cannot inflate the
+#: ``(m, width)`` matrix with one long value.
+_BULK_MAX_WIDTH = 64
 
 
 class FloatFormat(enum.Enum):
@@ -124,6 +151,72 @@ def parse_double(data: bytes) -> float:
         return float(text)
     except ValueError as exc:
         raise LexicalError(f"invalid double lexical form {data!r}") from exc
+
+
+def parse_double_rows(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Convert each row of a space-padded ``(m, w)`` uint8 matrix.
+
+    Returns ``(values, proven)``.  ``proven[i]`` is true when every
+    byte of row *i* is in the bulk charset; only those rows are
+    converted, and for them ``values[i]`` is bit-identical to
+    ``parse_double(row)`` (NumPy and ``float`` agree on every token of
+    this alphabet).  Unproven rows — ``INF``, ``NaN``, tabs, garbage —
+    hold ``0.0`` and are the caller's to parse one by one.
+
+    Raises :class:`ValueError` when NumPy refuses a proven row (an
+    all-pad row, ``1e``, ``+``): ``parse_double`` rejects those too,
+    and the caller lets it produce the authoritative error.
+    """
+    m, width = mat.shape
+    if width == 0:
+        return np.zeros(m, dtype=np.float64), np.zeros(m, dtype=bool)
+    in_charset = _BULK_LUT[mat]
+    if bool(in_charset.all()):  # the common case: one flat reduction
+        proven = np.ones(m, dtype=bool)
+    else:
+        proven = in_charset.all(axis=1)
+        filler = np.full(width, 0x20, dtype=np.uint8)
+        filler[0] = 0x30  # "0": a row NumPy converts without complaint
+        mat = np.where(proven[:, None], mat, filler)
+    values = (
+        np.ascontiguousarray(mat, dtype=np.uint8)
+        .view(f"S{width}")
+        .ravel()
+        .astype(np.float64)
+    )
+    return values, proven
+
+
+def parse_double_spans(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Parse the double at every ``data[starts[i]:ends[i]]`` at once.
+
+    Bit-identical to ``[parse_double(data[s:e]) ...]`` as a float64
+    array, and raises the same :class:`LexicalError` for the first
+    value that is not a double.  Values are gathered into one
+    space-padded matrix (no per-value ``bytes`` objects) and converted
+    by :func:`parse_double_rows`; values outside its charset, wider
+    than ``_BULK_MAX_WIDTH`` or too close to the end of *data* for the
+    gather window take the scalar path.
+    """
+    m = int(starts.shape[0])
+    out = np.zeros(m, dtype=np.float64)
+    proven = np.zeros(m, dtype=bool)
+    lens = ends - starts
+    width = min(int(lens.max()), _BULK_MAX_WIDTH) if m else 0
+    if width > 0 and len(data) >= width:
+        buf = np.frombuffer(data, dtype=np.uint8)
+        fits = (lens <= width) & (starts <= len(data) - width)
+        mat = sliding_window_view(buf, width)[np.where(fits, starts, 0)]
+        mat[np.arange(width)[None, :] >= lens[:, None]] = 0x20
+        mat[~fits] = 0  # outside the charset: unproven, scalar path
+        try:
+            out, proven = parse_double_rows(mat)
+        except ValueError:
+            pass  # a malformed value: the scalar path names it
+        proven &= fits
+    for i in np.flatnonzero(~proven).tolist():
+        out[i] = parse_double(data[int(starts[i]) : int(ends[i])])
+    return out
 
 
 def _format_minimal_one(v: float) -> bytes:

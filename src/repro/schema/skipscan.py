@@ -30,9 +30,11 @@ so the table trusts nothing it has not just checked:
   leaf's expected tag id exactly; trailing pad must be whitespace.
 * **Values go through the real lexical parsers.**  The per-leaf path
   uses the same :class:`~repro.schema.types.XSDType` parsers as a full
-  parse.  The vectorized double path first proves every value byte is
-  in ``parse_double``'s accepted charset; anything else (``INF``,
-  ``NaN``, tabs, garbage) drops to the per-leaf loop.
+  parse.  The vectorized double path uses the bulk kernel the
+  first-time parse also uses
+  (:func:`~repro.lexical.floats.parse_double_rows`), which first proves
+  every value byte is in ``parse_double``'s accepted charset; anything
+  else (``INF``, ``NaN``, tabs, garbage) drops to the per-leaf loop.
 * **Two-phase apply.**  All regions are validated and parsed before
   any value is committed, so a failure midway never leaves the cached
   decode half-updated (the poisoned-session hazard from PR 4).
@@ -52,7 +54,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.lexical.floats import parse_double_rows
 from repro.xmlkit.trie import ByteTrie
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -70,16 +74,102 @@ _SPACE = 0x20
 _WS_LUT = np.zeros(256, dtype=bool)
 for _b in b" \t\r\n":
     _WS_LUT[_b] = True
-
-#: Bytes the vectorized double path accepts inside a value: exactly
-#: ``parse_double``'s ``_ALLOWED`` charset plus the space pad of the
-#: FIXED ``%24.16e`` form.  Tabs/CR/LF are deliberately excluded —
-#: ``parse_double`` strips them but NumPy's string→float conversion
-#: is not guaranteed to agree, so those rows take the per-leaf path.
-_DOUBLE_LUT = np.zeros(256, dtype=bool)
-for _b in b"+-.0123456789eE ":
-    _DOUBLE_LUT[_b] = True
 del _b
+
+#: Longest close-tag tail (pad after ``>``) the NumPy compile proves;
+#: a leaf with a longer pad goes through the per-leaf loop.  Tails are
+#: checked one group per distinct length, so this also bounds the
+#: number of groups.
+_TAIL_PROOF_MAX = 64
+
+#: Fewest leaves for which :meth:`SeekTable.compile` runs the NumPy
+#: proof: below this the per-leaf loop costs less than the proof's
+#: fixed NumPy overhead (measured on double and MIO struct arrays).
+_PROOF_MIN_LEAVES = 64
+
+
+def _prove_common_close_tag(
+    data: bytes, vends: np.ndarray, ends: np.ndarray
+) -> Optional[Tuple[bytes, np.ndarray]]:
+    """Prove, in NumPy, every leaf whose closing tag equals leaf 0's.
+
+    Returns ``(key, proven)``: *key* is leaf 0's close-tag key (the
+    bytes from ``<`` up to ``>``) and ``proven[j]`` is true when leaf
+    *j*'s value is followed by exactly ``key + b">"`` inside its region
+    and the rest of the region is whitespace — the checks the per-leaf
+    loop makes.  Returns ``None`` when leaf 0 itself does not pass, so
+    the loop reports it.  Every gather reads only bytes inside the
+    candidate leaves' own regions, which are disjoint, so no temporary
+    outgrows the document however long one close tag or pad is.
+    """
+    n = len(data)
+    vend0 = int(vends[0])
+    if vend0 >= n or data[vend0] != _LT:
+        return None
+    gt = data.find(b">", vend0, int(ends[0]))
+    key = data[vend0:gt]
+    if gt < 0 or not key.startswith(b"</"):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    width = len(key) + 1
+    tail_starts = vends + width
+    tail_lens = ends - tail_starts
+    # A candidate's region holds a whole close tag of this width, so
+    # the ``(candidates, width)`` gather is at most the document size.
+    cand = np.flatnonzero((tail_lens >= 0) & (tail_lens <= _TAIL_PROOF_MAX))
+    tag = buf[vend0 : gt + 1]
+    tag_ok = (sliding_window_view(buf, width)[vends[cand]] == tag).all(axis=1)
+    proven = np.zeros(vends.shape[0], dtype=bool)
+    proven[cand[tag_ok]] = True
+    # One gather per distinct tail length, of exactly the tail bytes.
+    padded = cand[tag_ok & (tail_lens[cand] > 0)]
+    for length in np.unique(tail_lens[padded]).tolist():
+        group = padded[tail_lens[padded] == length]
+        tails = sliding_window_view(buf, length)[tail_starts[group]]
+        proven[group[~_WS_LUT[tails].all(axis=1)]] = False
+    if not bool(proven[0]):
+        return None
+    return key, proven
+
+
+def _close_tags_per_leaf(
+    data: bytes,
+    spans: np.ndarray,
+    ends: np.ndarray,
+    leaves: np.ndarray,
+    keys: dict,
+    trie: ByteTrie,
+    tag_ids: np.ndarray,
+    tag_lens: np.ndarray,
+) -> None:
+    """Find, check and register the closing tag of each of *leaves*.
+
+    Raises :class:`SkipScanFallback` on the first leaf (in index order)
+    without a closing tag right after its value or with a non-pad tail.
+    """
+    n = len(data)
+    for j in leaves.tolist():
+        vend = int(spans[j, 1])
+        if vend >= n or data[vend] != _LT:
+            raise SkipScanFallback("no-close-tag", f"leaf {j}")
+        gt = data.find(b">", vend, int(ends[j]))
+        if gt < 0:
+            raise SkipScanFallback("no-close-tag", f"leaf {j}")
+        key = data[vend:gt]
+        if not key.startswith(b"</"):
+            raise SkipScanFallback("no-close-tag", f"leaf {j}: {key[:20]!r}")
+        tid = keys.get(key)
+        if tid is None:
+            tid = len(keys)
+            keys[key] = tid
+            trie.insert(key, tid)
+        tag_ids[j] = tid
+        tag_lens[j] = len(key)
+        # Everything after the closing tag up to the region end must
+        # already be pad in the template itself.
+        tail = data[gt + 1 : int(ends[j])]
+        if tail.strip(b" \t\r\n"):
+            raise SkipScanFallback("region-shape", f"leaf {j} tail")
 
 
 class SkipScanFallback(Exception):
@@ -145,7 +235,30 @@ class SeekTable:
 
         Raises :class:`SkipScanFallback` when the template cannot be
         compiled; the deserializer then simply keeps full-parsing.
+
+        From ``_PROOF_MIN_LEAVES`` leaves up, every leaf whose closing
+        tag equals leaf 0's is proven in one NumPy pass (``<``, tag
+        bytes, ``>``, bounds, whitespace-only tail); only the others go
+        through the per-leaf loop, which raises the same reason on the
+        same first bad leaf as a leaf-by-leaf compile would.  Smaller
+        templates use the loop alone, which is cheaper there.
         """
+        k = int(result.regions.shape[0])
+        return cls._compile(
+            data, result, descriptor, vectorized=k >= _PROOF_MIN_LEAVES
+        )
+
+    @classmethod
+    def _compile(
+        cls,
+        data: bytes,
+        result: "ParseResult",
+        descriptor: Optional[type],
+        *,
+        vectorized: bool,
+    ) -> "SeekTable":
+        """:meth:`compile`; ``vectorized=False`` checks every leaf in
+        the per-leaf loop (the reference the NumPy proof must equal)."""
         if descriptor is not None:
             mismatch = descriptor.check(result.message)
             if mismatch is not None:
@@ -174,33 +287,24 @@ class SeekTable:
 
         keys: dict = {}
         trie = ByteTrie()
-        tag_ids = np.empty(k, dtype=np.int64)
-        tag_lens = np.empty(k, dtype=np.int64)
-        for j in range(k):
-            vend = int(spans[j, 1])
-            if vend >= n or data[vend] != _LT:
-                raise SkipScanFallback("no-close-tag", f"leaf {j}")
-            gt = data.find(b">", vend, int(ends[j]))
-            if gt < 0:
-                raise SkipScanFallback("no-close-tag", f"leaf {j}")
-            key = data[vend:gt]
-            if not key.startswith(b"</"):
-                raise SkipScanFallback("no-close-tag", f"leaf {j}: {key[:20]!r}")
-            tid = keys.get(key)
-            if tid is None:
-                tid = len(keys)
-                keys[key] = tid
-                trie.insert(key, tid)
-            tag_ids[j] = tid
-            tag_lens[j] = len(key)
-            # Everything after the closing tag up to the region end must
-            # already be pad in the template itself.
-            tail = data[gt + 1 : int(ends[j])]
-            if tail.strip(b" \t\r\n"):
-                raise SkipScanFallback("region-shape", f"leaf {j} tail")
+        tag_ids = np.zeros(k, dtype=np.int64)
+        tag_lens = np.zeros(k, dtype=np.int64)
+        rest = np.arange(k)
+        if vectorized:
+            proof = _prove_common_close_tag(data, spans[:, 1], ends)
+            if proof is not None:
+                key, proven = proof
+                keys[key] = 0
+                trie.insert(key, 0)
+                tag_lens[proven] = len(key)
+                rest = np.flatnonzero(~proven)
+        _close_tags_per_leaf(data, spans, ends, rest, keys, trie, tag_ids, tag_lens)
 
-        types = tuple(result.leaf_type(j) for j in range(k))
-        table = cls(result, starts, ends, trie, tag_ids, tag_lens, types)
+        types: List[object] = []
+        for layout in result.layouts:
+            if layout.leaf_count:
+                types.extend(layout.leaf_types * (layout.leaf_count // layout.arity))
+        table = cls(result, starts, ends, trie, tag_ids, tag_lens, tuple(types))
         table._setup_vector_lane(data, keys)
         return table
 
@@ -318,18 +422,13 @@ class SeekTable:
         if bool(np.any(in_pad & ~_WS_LUT[mat])):
             raise SkipScanFallback("pad-drift")
         in_value = cols[None, :] < ltpos[:, None]
-        if bool(np.any(in_value & ~_DOUBLE_LUT[mat])):
-            return None  # INF/NaN/odd bytes: per-leaf lexical parse
         blanked = np.where(in_value, mat, _SPACE).astype(np.uint8)
         try:
-            values = (
-                np.ascontiguousarray(blanked)
-                .view(f"S{length}")
-                .ravel()
-                .astype(np.float64)
-            )
+            values, proven = parse_double_rows(blanked)
         except ValueError:
             return None  # let parse_double produce the authoritative error
+        if not bool(proven.all()):
+            return None  # INF/NaN/odd bytes: per-leaf lexical parse
         # Commit (all validation above is done — two-phase contract).
         param_of = self._vec_param_of[changed]
         item_of = self._vec_item_of[changed]

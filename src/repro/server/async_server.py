@@ -366,10 +366,13 @@ class AsyncHTTPSoapServer:
             if conn is None:
                 continue
             if conn.state == "reading":
-                # No complete request within the read deadline — idle
-                # keep-alive or a slow-loris drip; either way the slot
-                # is reclaimed with a 408 (threaded-server taxonomy).
-                self._reject(conn, 408)
+                # No complete request within the read deadline: a
+                # slow-loris drip gets a 408, an idle keep-alive
+                # connection closes silently (threaded-server rule).
+                if conn.buffered:
+                    self._reject(conn, 408)
+                else:
+                    self._close_conn(conn)
 
     # ------------------------------------------------------------------
     # accept

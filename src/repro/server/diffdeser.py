@@ -217,7 +217,6 @@ class DifferentialDeserializer:
             s, e = int(starts[j]), int(ends[j])
             last[s:e] = incoming[s:e]
         self.stats[DeserKind.DIFFERENTIAL] += 1
-        self.stats_last_changed = int(changed.size)
         return result.message, DeserReport(
             DeserKind.DIFFERENTIAL,
             int(changed.size),

@@ -10,6 +10,14 @@ byte span of every leaf value** (including any whitespace stuffing
 inside the span's tail) in document order, plus enough layout to
 update any leaf in place later — the server-side mirror of the DUT
 table.
+
+A parameter whose ``SOAP-ENC:arrayType`` names a numeric or boolean
+primitive is read through the scanner's item-run step
+(:meth:`~repro.xmlkit.scanner.XMLScanner.take_leaf_run`): values,
+spans and field regions come out as whole columns, doubles through
+the bulk kernel :func:`~repro.lexical.floats.parse_double_spans`.  A
+run the step refuses is read item by item from the events, which stay
+the only source of parse errors.
 """
 
 from __future__ import annotations
@@ -19,16 +27,17 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import ResourceLimitError, SOAPError
+from repro.errors import LexicalError, ReproError, ResourceLimitError, SOAPError
 from repro.hardening.limits import DEFAULT_LIMITS, ResourceLimits
+from repro.lexical.floats import parse_double_spans
 from repro.schema.composite import StructType
 from repro.schema.registry import TypeRegistry
-from repro.schema.types import XSDType, primitive_by_name
+from repro.schema.types import DOUBLE, XSDType, primitive_by_name
 from repro.soap.encoding import parse_array_type_attr
 from repro.xmlkit.scanner import (
     Characters,
     EndElement,
-    Event,
+    LeafRun,
     StartElement,
     XMLScanner,
 )
@@ -55,6 +64,41 @@ def _leaf_from_text(xsd_type: XSDType, text: str):
     return xsd_type.parse(raw)
 
 
+def _run_converter(element: XSDType):
+    """Value converter for :meth:`XMLScanner.take_leaf_run`.
+
+    Doubles go through the bulk kernel; other numeric and boolean
+    items through their lexical parser.  A value that does not parse
+    refuses the run (``None``) so the event path raises the
+    authoritative error, at the point in the document where the
+    reference parse does.  Only the errors a malformed value can raise
+    are caught — :class:`LexicalError`, plus the ``ValueError`` of
+    ``int()``'s digit limit — so a defect in a kernel still surfaces.
+    """
+
+    def convert(data: bytes, starts: np.ndarray, ends: np.ndarray):
+        if element is DOUBLE:
+            try:
+                return parse_double_spans(data, starts, ends)
+            except LexicalError:
+                return None
+        parse = element.parse
+        try:
+            return [parse(data[s:e]) for s, e in zip(starts.tolist(), ends.tolist())]
+        except (LexicalError, ValueError):
+            return None
+
+    return convert
+
+
+def _array_decl(attrs: Dict[str, str]) -> Optional[str]:
+    """The value of the first ``*:arrayType`` attribute, if any."""
+    for key, value in attrs.items():
+        if key.rsplit(":", 1)[-1] == "arrayType":
+            return value
+    return None
+
+
 @dataclass(slots=True)
 class _Node:
     """One parsed element: name, attrs, children, text + raw text span."""
@@ -64,6 +108,9 @@ class _Node:
     children: List["_Node"]
     text: str
     span: Optional[Tuple[int, int]]  # raw byte span of the text content
+    #: The items of a primitive array read by the item-run step (then
+    #: ``children`` is empty).
+    run: Optional[LeafRun] = None
 
     @property
     def local(self) -> str:
@@ -109,6 +156,11 @@ class _ParamLayout:
     field_names: Tuple[str, ...]  # empty for primitive arrays/scalars
 
 
+#: A decoded parameter, its layout, and the value spans of the leaves
+#: read from child nodes (empty for an item run, which carries its own).
+_Decoded = Tuple[DecodedParam, _ParamLayout, List[Tuple[int, int]]]
+
+
 class ParseResult:
     """Full-parse output: message + leaf spans + in-place setters."""
 
@@ -145,10 +197,6 @@ class ParseResult:
         """
         return self._layouts
 
-    def leaf_type(self, j: int) -> XSDType:
-        layout = self._layout_for(j)
-        return layout.leaf_types[(j - layout.leaf_base) % layout.arity]
-
     def _layout_for(self, j: int) -> _ParamLayout:
         pos = int(np.searchsorted(self._bases, j, side="right")) - 1
         return self._layouts[pos]
@@ -183,13 +231,14 @@ class ParseResult:
 class _Frame:
     """Mutable per-element state during the iterative tree build."""
 
-    __slots__ = ("start", "children", "text_parts", "span")
+    __slots__ = ("start", "children", "text_parts", "span", "run")
 
     def __init__(self, start: StartElement) -> None:
         self.start = start
         self.children: List[_Node] = []
         self.text_parts: List[str] = []
         self.span: Optional[Tuple[int, int]] = None
+        self.run: Optional[LeafRun] = None
 
 
 class SOAPRequestParser:
@@ -214,14 +263,17 @@ class SOAPRequestParser:
     # ------------------------------------------------------------------
     # tree building
     # ------------------------------------------------------------------
-    def _build_tree(self, data: bytes) -> _Node:
+    def _build_tree(self, data: bytes, item_runs: bool = True) -> _Node:
         """Build the element tree with an explicit stack.
 
         Iterative on purpose: nesting depth is attacker-controlled, so
         the build must never recurse (a 10k-deep document would
         otherwise die with ``RecursionError`` instead of faulting).
-        The scanner enforces ``limits`` incrementally while the event
-        list materializes.
+        The scanner enforces ``limits`` incrementally and is read
+        lazily; after the root closes it is drained, so trailing
+        content raises exactly as in a complete scan.  With
+        *item_runs*, a parameter holding a primitive array is offered
+        to the scanner's item-run step first.
         """
         if len(data) > self.limits.max_body_bytes:
             raise ResourceLimitError(
@@ -229,20 +281,20 @@ class SOAPRequestParser:
                 f"max_body_bytes={self.limits.max_body_bytes}",
                 "max_body_bytes",
             )
-        events: List[Event] = list(
-            XMLScanner(data, keep_whitespace=True, limits=self.limits)
-        )
-        i = 0
-        while i < len(events) and not isinstance(events[i], StartElement):
-            i += 1
-        if i == len(events):
+        scanner = XMLScanner(data, keep_whitespace=True, limits=self.limits)
+        for ev in scanner:
+            if isinstance(ev, StartElement):
+                break
+        else:
             raise SOAPError("no root element")
 
-        stack: List[_Frame] = [_Frame(events[i])]
-        i += 1
-        n = len(events)
-        while i < n:
-            ev = events[i]
+        stack: List[_Frame] = [_Frame(ev)]
+        # The frame whose last text run ends where the next event starts.
+        open_text: Optional[_Frame] = None
+        for ev in scanner:
+            if open_text is not None:
+                open_text.span = (open_text.span[0], ev.offset)  # type: ignore[index]
+                open_text = None
             frame = stack[-1]
             if isinstance(ev, EndElement):
                 span = frame.span
@@ -256,30 +308,72 @@ class SOAPRequestParser:
                     frame.children,
                     "".join(frame.text_parts),
                     span,
+                    frame.run,
                 )
                 stack.pop()
                 if not stack:
+                    for _ in scanner:
+                        pass
                     return node
                 stack[-1].children.append(node)
             elif isinstance(ev, Characters):
                 frame.text_parts.append(ev.text)
-                nxt = events[i + 1] if i + 1 < n else ev
-                end_off = getattr(nxt, "offset", ev.offset + len(ev.text))
-                frame.span = (
-                    frame.span[0] if frame.span else ev.offset,
-                    end_off,
-                )
+                frame.span = (frame.span[0] if frame.span else ev.offset, ev.offset)
+                open_text = frame
             elif isinstance(ev, StartElement):
-                stack.append(_Frame(ev))
-            i += 1
+                child = _Frame(ev)
+                stack.append(child)
+                if item_runs and not ev.self_closing and self._is_param(stack):
+                    element = self._run_element(ev.attrs)
+                    if element is not None:
+                        child.run = scanner.take_leaf_run(_run_converter(element))
         raise SOAPError("unterminated element tree")
+
+    @staticmethod
+    def _is_param(stack: List[_Frame]) -> bool:
+        """True when the top of *stack* is an RPC parameter element.
+
+        That is a child of the operation element, which is the first
+        child of the first ``Body`` under the root — exactly the nodes
+        :meth:`parse` hands to :meth:`_decode_param`.
+        """
+        if len(stack) != 4:
+            return False
+        root, body = stack[0], stack[1]
+        if body.start.name.rsplit(":", 1)[-1] != "Body" or body.children:
+            return False
+        return not any(c.local == "Body" for c in root.children)
+
+    def _run_element(self, attrs: Dict[str, str]) -> Optional[XSDType]:
+        """The numeric/boolean item type an ``arrayType`` declares.
+
+        ``None`` when there is no declaration, it does not parse, or it
+        names a string or struct type; :meth:`_decode_param` then
+        decodes (or rejects) the parameter from its child nodes.
+        """
+        decl = _array_decl(attrs)
+        if decl is None:
+            return None
+        try:
+            element = self._resolve_type(parse_array_type_attr(decl)[0])
+        except ReproError:
+            return None  # _decode_param raises it at its turn
+        if isinstance(element, XSDType) and element.np_dtype is not None:
+            return element
+        return None
 
     # ------------------------------------------------------------------
     # typed decoding
     # ------------------------------------------------------------------
     def parse(self, data: bytes) -> ParseResult:
         """Full parse: decode the message and record all leaf spans."""
-        root = self._build_tree(data)
+        return self._parse(data, item_runs=True)
+
+    def _parse(self, data: bytes, item_runs: bool) -> ParseResult:
+        """:meth:`parse`; ``item_runs=False`` reads every array item
+        from the scanner events (the reference the item-run step must
+        equal)."""
+        root = self._build_tree(data, item_runs)
         if root.local != "Envelope":
             raise SOAPError(f"root element is {root.name!r}, expected Envelope")
         body = self._child_by_local(root, "Body")
@@ -288,19 +382,40 @@ class SOAPRequestParser:
         op_node = body.children[0]
         message = DecodedMessage(operation=op_node.local)
 
-        spans: List[Tuple[int, int]] = []
+        span_parts: List[np.ndarray] = []
+        region_parts: List[np.ndarray] = []
+        # Spans read from child nodes since the last item run: one
+        # NumPy conversion per stretch, not per parameter.
+        pending: List[Tuple[int, int]] = []
+
+        def flush() -> None:
+            if pending:
+                part = np.asarray(pending, dtype=np.int64)
+                span_parts.append(part)
+                region_parts.append(self._field_regions(data, part))
+                pending.clear()
+
         layouts: List[_ParamLayout] = []
+        leaf_base = 0
         for pnode in op_node.children:
-            param, layout_entries = self._decode_param(pnode, len(spans))
+            param, layout, spans = self._decode_param(pnode, leaf_base)
             message.params.append(param)
-            layouts.append(layout_entries[0])
-            spans.extend(layout_entries[1])
-        span_arr = (
-            np.asarray(spans, dtype=np.int64)
-            if spans
-            else np.empty((0, 2), dtype=np.int64)
-        )
-        regions = self._field_regions(data, span_arr)
+            layouts.append(layout)
+            leaf_base += layout.leaf_count
+            if pnode.run is None:
+                pending.extend(spans)
+            else:
+                flush()
+                span_parts.append(pnode.run.spans)
+                region_parts.append(pnode.run.regions)
+        flush()
+        if len(span_parts) == 1:
+            span_arr, regions = span_parts[0], region_parts[0]
+        elif span_parts:
+            span_arr = np.concatenate(span_parts)
+            regions = np.concatenate(region_parts)
+        else:
+            span_arr = regions = np.empty((0, 2), dtype=np.int64)
         return ParseResult(message, span_arr, layouts, regions)
 
     @staticmethod
@@ -344,15 +459,9 @@ class SOAPRequestParser:
             return resolved
         raise SOAPError(f"type {prefixed!r} is not usable as an element type")
 
-    def _decode_param(
-        self, node: _Node, leaf_base: int
-    ) -> Tuple[DecodedParam, Tuple[_ParamLayout, List[Tuple[int, int]]]]:
+    def _decode_param(self, node: _Node, leaf_base: int) -> _Decoded:
         attrs = node.attrs
-        array_decl = None
-        for key, value in attrs.items():
-            if key.rsplit(":", 1)[-1] == "arrayType":
-                array_decl = value
-                break
+        array_decl = _array_decl(attrs)
 
         if array_decl is not None:
             type_name, declared = parse_array_type_attr(array_decl)
@@ -377,33 +486,32 @@ class SOAPRequestParser:
         param = DecodedParam(node.local, "scalar", value, element)
         span = node.span or (0, 0)
         layout = _ParamLayout(param, leaf_base, 1, 1, (element,), ())
-        return param, (layout, [span])
+        return param, layout, [span]
 
     def _decode_primitive_array(
         self, node: _Node, element: XSDType, declared: Optional[int], leaf_base: int
-    ) -> Tuple[DecodedParam, Tuple[_ParamLayout, List[Tuple[int, int]]]]:
-        items = node.children
-        if declared is not None and declared != len(items):
-            raise SOAPError(
-                f"arrayType declared {declared} items, found {len(items)}"
-            )
+    ) -> _Decoded:
+        run = node.run
+        count = len(run.spans) if run is not None else len(node.children)
+        if declared is not None and declared != count:
+            raise SOAPError(f"arrayType declared {declared} items, found {count}")
         spans: List[Tuple[int, int]] = []
-        item_texts: List[str] = []
-        for item in items:
-            item_texts.append(item.text)
-            spans.append(item.span or (0, 0))
-        values = [_leaf_from_text(element, t) for t in item_texts]
+        if run is not None:
+            values = run.values
+        else:
+            values = [_leaf_from_text(element, item.text) for item in node.children]
+            spans = [item.span or (0, 0) for item in node.children]
         if element.np_dtype is not None:
             container: object = np.asarray(values, dtype=element.np_dtype)
         else:
             container = values
         param = DecodedParam(node.local, "array", container, element)
-        layout = _ParamLayout(param, leaf_base, len(items), 1, (element,), ())
-        return param, (layout, spans)
+        layout = _ParamLayout(param, leaf_base, count, 1, (element,), ())
+        return param, layout, spans
 
     def _decode_struct_array(
         self, node: _Node, struct: StructType, declared: Optional[int], leaf_base: int
-    ) -> Tuple[DecodedParam, Tuple[_ParamLayout, List[Tuple[int, int]]]]:
+    ) -> _Decoded:
         items = node.children
         if declared is not None and declared != len(items):
             raise SOAPError(
@@ -441,11 +549,11 @@ class SOAPRequestParser:
             tuple(f.xsd_type for f in fields),
             tuple(f.name for f in fields),
         )
-        return param, (layout, spans)
+        return param, layout, spans
 
     def _decode_scalar_struct(
         self, node: _Node, struct: StructType, leaf_base: int
-    ) -> Tuple[DecodedParam, Tuple[_ParamLayout, List[Tuple[int, int]]]]:
+    ) -> _Decoded:
         arity = struct.arity
         if len(node.children) != arity:
             raise SOAPError("scalar struct field count mismatch")
@@ -470,4 +578,4 @@ class SOAPRequestParser:
             tuple(f.xsd_type for f in struct.fields),
             tuple(f.name for f in struct.fields),
         )
-        return param, (layout, spans)
+        return param, layout, spans

@@ -570,7 +570,9 @@ class HTTPSoapServer:
 
     * more than ``max_concurrent_connections`` live connections →
       extras are answered ``503`` and closed at accept time;
-    * no complete request within ``read_deadline`` seconds → ``408``;
+    * part of a request buffered but no complete request within
+      ``read_deadline`` seconds → ``408``; an idle keep-alive
+      connection past the deadline is closed without a response;
     * peer EOF with a partial request buffered → ``400``;
     * oversized framing (header block, declared or accumulated body,
       total buffered bytes past ``recv_cap``) → ``413``;
@@ -764,10 +766,13 @@ class HTTPSoapServer:
         try:
             while self._running.is_set():
                 if time.monotonic() > deadline:
-                    # No complete request within the read deadline —
-                    # idle keep-alive or a slow-loris drip; either way
-                    # the connection slot is reclaimed with a 408.
-                    self._reject(conn, 408)
+                    # No complete request within the read deadline.  A
+                    # slow-loris drip (part of a request buffered) gets
+                    # a 408; an idle keep-alive connection closes
+                    # silently (RFC 9112 §9.5), since an unsolicited
+                    # 408 would race the client's next request.
+                    if buffered:
+                        self._reject(conn, 408)
                     break
                 try:
                     data = conn.recv(1 << 20)

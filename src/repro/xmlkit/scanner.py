@@ -10,12 +10,23 @@ It supports the XML subset SOAP messages use: elements, attributes,
 character data, comments, processing instructions, CDATA sections and
 the five predefined entities plus numeric character references.
 DOCTYPE is rejected (SOAP forbids it).
+
+:meth:`XMLScanner.take_leaf_run` is the one step that is not an
+event: inside a primitive array it consumes a whole run of plain
+``<N>value</N>`` items with one regex pass and returns their value
+spans, so a big array costs O(1) Python steps instead of four events
+per item.  It commits all or nothing; on any doubt the events resume
+from the same byte and stay authoritative for values and errors.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from functools import lru_cache
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.errors import ResourceLimitError, XMLSyntaxError
 from repro.hardening.limits import ResourceLimits
@@ -28,6 +39,7 @@ __all__ = [
     "Comment",
     "ProcessingInstruction",
     "Event",
+    "LeafRun",
     "XMLScanner",
     "parse_document",
     "decode_utf8",
@@ -35,6 +47,40 @@ __all__ = [
 
 _WS = frozenset(XML_WHITESPACE)
 _NAME_END = frozenset(b" \t\r\n/>=")
+
+#: Optional pad, then the first item's start tag of a leaf run.  Item
+#: names are plain ASCII XML names; anything else (attributes, a
+#: self-closing tag, ``<!``/``<?`` markup) leaves the run to the events.
+_RUN_HEAD = re.compile(rb"[ \t\r\n]*<([A-Za-z_][A-Za-z0-9_.:-]*)>")
+
+
+@lru_cache(maxsize=64)
+def _run_pattern(name: bytes) -> re.Pattern[bytes]:
+    """``(<N>value</N>pad)*`` for one item name.
+
+    A value may not hold ``<`` (child, comment, CDATA, PI), ``&``
+    (entity or character reference) or a non-ASCII byte; pad is XML
+    whitespace only.  The match stops before the first item that
+    breaks any of this.
+    """
+    tag = re.escape(name)
+    return re.compile(
+        rb"[ \t\r\n]*(?:<" + tag + rb">[^<&\x80-\xff]*</" + tag + rb">[ \t\r\n]*)*"
+    )
+
+
+@dataclass(frozen=True, slots=True)
+class LeafRun:
+    """What :meth:`XMLScanner.take_leaf_run` consumed.
+
+    ``spans`` and ``regions`` are ``(m, 2)`` int64 arrays: each item's
+    raw value span, and its field region (value through the closing
+    tag and the whitespace pad up to the next markup byte).
+    """
+
+    values: object
+    spans: np.ndarray
+    regions: np.ndarray
 
 
 def decode_utf8(data: bytes, pos: int = -1) -> str:
@@ -353,6 +399,75 @@ class XMLScanner:
         else:
             self._stack.append(name)
         return StartElement(name, attrs, self_closing, pos)
+
+    def take_leaf_run(
+        self, convert: Callable[[bytes, np.ndarray, np.ndarray], object]
+    ) -> Optional[LeafRun]:
+        """Consume the run of leaf items that opens the current element.
+
+        Call right after the :class:`StartElement` of an array.  The
+        run is ``<N>value</N>`` plus whitespace, repeated with one item
+        name until the array's ``</``.  ``convert(data, starts, ends)``
+        turns the value spans into values, returning ``None`` if any
+        does not parse.  The whole run is committed — position and
+        element count advance past it — or nothing is, and ``None`` is
+        returned, when:
+
+        * an item has attributes, is self-closing, or has whitespace
+          inside its end tag, or item names differ;
+        * the run holds ``&``, a comment, CDATA, a PI, a non-ASCII
+          byte, or non-whitespace between items;
+        * the items would cross ``max_xml_elements``,
+          ``max_xml_depth`` or ``max_token_bytes``;
+        * *convert* refuses a value.
+
+        The event path then scans the same bytes and raises whatever
+        error they deserve.
+        """
+        if self._pending_end is not None or not self._stack:
+            return None
+        data = self._data
+        pos = self._pos
+        head = _RUN_HEAD.match(data, pos)
+        if head is None:
+            return None
+        name = head.group(1)
+        limits = self._limits
+        if limits is not None and (
+            len(name) > limits.max_token_bytes
+            or len(self._stack) >= limits.max_xml_depth
+        ):
+            return None
+        end = _run_pattern(name).match(data, pos).end()
+        if not data.startswith(b"</", end):
+            return None
+        # In a matched run the only '<' bytes are item tags: each
+        # item's start tag, then its end tag.
+        lts = np.flatnonzero(
+            np.frombuffer(data, dtype=np.uint8, count=end - pos, offset=pos) == 0x3C
+        )
+        count = lts.size // 2
+        if count == 0:
+            return None
+        if limits is not None and self._elements + count > limits.max_xml_elements:
+            return None
+        opens = lts[0::2] + pos
+        starts = opens + (len(name) + 2)
+        ends = lts[1::2] + pos
+        values = convert(data, starts, ends)
+        if values is None:
+            return None
+        region_ends = np.empty(count, dtype=np.int64)
+        region_ends[:-1] = opens[1:]
+        region_ends[-1] = end
+        self._pos = end
+        if limits is not None:
+            self._elements += count
+        return LeafRun(
+            values,
+            np.stack([starts, ends], axis=1),
+            np.stack([starts, region_ends], axis=1),
+        )
 
     @property
     def depth(self) -> int:

@@ -368,6 +368,33 @@ class TestAsyncTaxonomy:
         assert status == 408
         assert elapsed < 3.0  # resolved near the deadline, not hung
 
+    @pytest.mark.parametrize("served_first", [False, True])
+    def test_idle_keepalive_past_deadline_gets_eof_not_408(self, served_first):
+        limits = ResourceLimits(read_deadline=0.3)
+        service = build_service(limits=limits)
+        with make_server(service, server="async") as server:
+            addr = ("127.0.0.1", server.port)
+            with socket.create_connection(addr, timeout=5.0) as sock:
+                if served_first:
+                    sock.sendall(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
+                    buf = b""
+                    while True:
+                        try:
+                            status, _h, _b, _c = parse_http_response(buf)
+                            break
+                        except IncompleteHTTPError:
+                            data = sock.recv(1 << 16)
+                            assert data, "connection closed mid-response"
+                            buf += data
+                    assert status == 200
+                start = time.monotonic()
+                trailing = sock.recv(1 << 16)  # blocks until EOF
+                elapsed = time.monotonic() - start
+        assert trailing == b""
+        assert elapsed < 4.0
+        counter = service.obs.metrics.get("repro_http_rejects_total")
+        assert counter is None or counter.value(status="408") == 0
+
     def test_oversize_request_answers_413(self):
         limits = ResourceLimits(max_body_bytes=2048)
         service = build_service(limits=limits)

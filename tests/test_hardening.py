@@ -49,7 +49,7 @@ from repro.transport.http import parse_http_request
 from repro.transport.loopback import CollectSink
 from repro.transport.tcp import TCPTransport
 from repro.xmlkit.feed import FeedScanner
-from repro.xmlkit.scanner import XMLScanner
+from repro.xmlkit.scanner import StartElement, XMLScanner
 
 MALFORMED_DIR = Path(__file__).parent / "malformed"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -183,6 +183,62 @@ class TestScannerLimits:
     def test_resource_limit_error_is_soap_error(self):
         # The service layer relies on this to answer a Client fault.
         assert issubclass(ResourceLimitError, SOAPError)
+
+
+# ----------------------------------------------------------------------
+# Limits on array payloads read by the scanner's item-run step
+# ----------------------------------------------------------------------
+class TestItemRunLimits:
+    """At the bound the run step reads the items; one unit past it the
+    run is refused and the event path raises the same error as ever."""
+
+    ITEM = "v" * 70  # longer than every other token in the envelope
+
+    def wire(self) -> bytes:
+        array = ArrayType(DOUBLE, item_tag=self.ITEM)
+        return serialize(
+            SOAPMessage(
+                "putDoubles",
+                "urn:golden",
+                [Parameter("data", array, np.linspace(0.0, 1.0, 32))],
+            )
+        )
+
+    def limits_at_bound(self, doc: bytes) -> dict:
+        elements = sum(
+            isinstance(e, StartElement) for e in XMLScanner(doc, limits=UNLIMITED)
+        )
+        return {
+            "max_xml_elements": elements,
+            "max_xml_depth": 5,  # Envelope/Body/op/param/item
+            "max_token_bytes": len(self.ITEM),
+        }
+
+    @pytest.mark.parametrize(
+        "field", ["max_xml_elements", "max_xml_depth", "max_token_bytes"]
+    )
+    def test_at_limit_is_accepted_by_the_run(self, field):
+        doc = self.wire()
+        limit = self.limits_at_bound(doc)[field]
+        parser = SOAPRequestParser(limits=DEFAULT_LIMITS.replace(**{field: limit}))
+        param = parser._build_tree(doc).children[0].children[0].children[0]
+        assert param.run is not None and len(param.run.spans) == 32
+        value = parser.parse(doc).message.value("data")
+        assert value.tobytes() == np.linspace(0.0, 1.0, 32).tobytes()
+
+    @pytest.mark.parametrize(
+        "field", ["max_xml_elements", "max_xml_depth", "max_token_bytes"]
+    )
+    def test_one_past_raises_the_event_path_error(self, field):
+        doc = self.wire()
+        limit = self.limits_at_bound(doc)[field] - 1
+        parser = SOAPRequestParser(limits=DEFAULT_LIMITS.replace(**{field: limit}))
+        with pytest.raises(ResourceLimitError) as fast:
+            parser.parse(doc)
+        with pytest.raises(ResourceLimitError) as events:
+            parser._parse(doc, item_runs=False)
+        assert fast.value.limit_name == field
+        assert str(fast.value) == str(events.value)
 
 
 # ----------------------------------------------------------------------
@@ -394,6 +450,25 @@ class TestHTTPFrontEnd:
             assert elapsed < 4.0
         assert self._reject_count(service, 408) == 1
 
+    @pytest.mark.parametrize("served_first", [False, True])
+    def test_idle_keepalive_past_deadline_gets_eof_not_408(self, served_first):
+        # RFC 9112 §9.5: with nothing buffered the server closes
+        # silently; an unsolicited 408 would race the client's next
+        # request on the reused connection.
+        service, server = self._server(read_deadline=0.3)
+        with server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+                sock.settimeout(5.0)
+                if served_first:
+                    sock.sendall(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
+                    assert _read_one_response(sock)[0] == 200
+                start = time.monotonic()
+                trailing = _read_all(sock)
+                elapsed = time.monotonic() - start
+            assert trailing == b""
+            assert elapsed < 4.0  # EOF near the deadline, not a timeout
+        assert self._reject_count(service, 408) == 0
+
     def test_request_cap_closes_connection_with_503(self):
         wire = doubles_wire([1.0])
         service, server = self._server(max_requests_per_connection=2)
@@ -432,6 +507,20 @@ class TestHTTPFrontEnd:
             )
             assert status == 200
             assert b'repro_http_rejects_total{status="400"} 1' in payload
+
+
+def _read_one_response(sock: socket.socket):
+    """Read exactly one HTTP response off a kept-alive connection."""
+    from repro.errors import IncompleteHTTPError
+
+    buf = b""
+    while True:
+        try:
+            return _parse_response(buf)
+        except IncompleteHTTPError:
+            data = sock.recv(65536)
+            assert data, "connection closed mid-response"
+            buf += data
 
 
 def _read_all(sock: socket.socket) -> bytes:
